@@ -468,3 +468,49 @@ func BenchmarkGroupStrategies(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkEngineQuery times the full public path — SQL text in, rows out
+// through Engine.Query: parse, plan-cache lookup, optimize, execute — on
+// the E17 Employee/Department shape (5000 × 100). The matrix is
+// {unordered, ordered} Example 1 × {row, vec} engine × {cold, warm} plan
+// cache: cold runs with caching off, so every query is parsed and
+// optimized; warm primes a cache once, so every timed query is a hit that
+// is re-certified before it executes.
+func BenchmarkEngineQuery(b *testing.B) {
+	queries := []struct{ name, text string }{
+		{"unordered", empDeptExample1},
+		{"ordered", empDeptExample1Ordered},
+	}
+	for _, q := range queries {
+		for _, vectorize := range []bool{false, true} {
+			engine := "row"
+			if vectorize {
+				engine = "vec"
+			}
+			for _, cache := range []string{"cold", "warm"} {
+				b.Run(q.name+"/"+engine+"/"+cache, func(b *testing.B) {
+					e := New()
+					e.SetVectorize(vectorize)
+					seedEmpDept(b, e, 5000, 100)
+					if cache == "warm" {
+						e.SetPlanCacheSize(16)
+						if _, err := e.Query(q.text); err != nil {
+							b.Fatal(err)
+						}
+					}
+					b.ReportAllocs()
+					b.ResetTimer()
+					for i := 0; i < b.N; i++ {
+						res, err := e.Query(q.text)
+						if err != nil {
+							b.Fatal(err)
+						}
+						if len(res.Rows) != 100 {
+							b.Fatalf("result has %d rows, want 100", len(res.Rows))
+						}
+					}
+				})
+			}
+		}
+	}
+}

@@ -605,10 +605,14 @@ func (e *Engine) runConfigLocked(o *QueryOptions) runConfig {
 // so no temp files outlive a query. Fallback re-executions pass
 // spill=false: a spill failure must not retry through the same failing
 // disk, and the lazy plan is the conservative in-memory shape either way.
+// Grouping is GroupAuto: each GroupBy streams sort-grouping only when its
+// input provably arrives in key order (GroupBy.Ordered or the compiler's
+// propagated order) and hashes otherwise, so an ORDER BY above grouping
+// sorts only the grouped output.
 func governedRun(ctx context.Context, cfg runConfig, plan algebra.Node, params expr.Params, col *obs.Collector, tracer *obs.Tracer, spill bool) (*exec.Result, error) {
 	opts := &exec.Options{
 		Params:       params,
-		Group:        groupStrategyFor(plan),
+		Group:        exec.GroupAuto,
 		Parallelism:  cfg.parallelism,
 		Vectorize:    cfg.vectorize,
 		Context:      ctx,
@@ -656,44 +660,6 @@ func fallbackReason(err error) string {
 		return fmt.Sprintf("eager plan exceeded the memory budget (%d of %d bytes at %s); re-executed the lazy group-after-join plan", re.Used, re.Budget, re.Op)
 	}
 	return "re-executed the lazy group-after-join plan"
-}
-
-// groupStrategyFor picks the physical grouping strategy for a plan: when an
-// ascending ORDER BY sits directly above grouping output and its keys are a
-// prefix of the grouping columns, sort-based grouping makes the final sort
-// free (the executor elides it via order propagation) — the paper's
-// Section 7 note that grouped output "is normally sorted based on the
-// grouping columns" and that this can be exploited. Everything else hashes.
-func groupStrategyFor(plan algebra.Node) exec.GroupStrategy {
-	sortNode, ok := topSort(plan)
-	if !ok {
-		return exec.GroupAuto
-	}
-	var group *algebra.GroupBy
-	algebra.Walk(sortNode, func(n algebra.Node) {
-		if g, ok := n.(*algebra.GroupBy); ok && group == nil {
-			group = g
-		}
-	})
-	if group == nil || len(sortNode.Keys) > len(group.GroupCols) {
-		return exec.GroupAuto
-	}
-	for i, k := range sortNode.Keys {
-		if k.Desc || group.GroupCols[i].Name != k.Col.Name {
-			return exec.GroupAuto
-		}
-	}
-	return exec.GroupSort
-}
-
-// topSort returns the plan's final ORDER BY node, looking through a LIMIT
-// on top of it.
-func topSort(plan algebra.Node) (*algebra.Sort, bool) {
-	if l, ok := plan.(*algebra.Limit); ok {
-		plan = l.Input
-	}
-	s, ok := plan.(*algebra.Sort)
-	return s, ok
 }
 
 // planChoice is the executable outcome of plan selection: the chosen plan

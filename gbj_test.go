@@ -246,9 +246,8 @@ func TestResultString(t *testing.T) {
 	}
 }
 
-// TestOrderByOnGroupColumns: ORDER BY on the grouping columns picks
-// sort-based grouping (the final sort is elided) and the output is still
-// correctly ordered.
+// TestOrderByOnGroupColumns: ORDER BY on the grouping columns returns the
+// groups in key order, and the query explains.
 func TestOrderByOnGroupColumns(t *testing.T) {
 	e := newExample1Engine(t)
 	res, err := e.Query(`
@@ -268,8 +267,6 @@ func TestOrderByOnGroupColumns(t *testing.T) {
 			t.Fatalf("output not ordered: %v", res.Rows)
 		}
 	}
-	// The heuristic itself: ascending prefix → sort grouping; DESC or
-	// non-group keys → hash.
 	q, err := e.Explain(`
 		SELECT E.DeptID, COUNT(*) FROM Employee E, Department D
 		WHERE E.DeptID = D.DeptID GROUP BY E.DeptID ORDER BY DeptID`)

@@ -404,18 +404,18 @@ func (s *sortOp) Open() error {
 	if err != nil {
 		return err
 	}
-	s.out = sortRowsStable("sort", rows, s.par, func(a, b value.Row) bool {
+	s.out = sortRowsStable("sort", rows, s.par, func(a, b value.Row) int {
 		for _, k := range s.keys {
 			c := value.OrderKey(a[k.col], b[k.col])
 			if c == 0 {
 				continue
 			}
 			if k.desc {
-				return c > 0
+				return -c
 			}
-			return c < 0
+			return c
 		}
-		return false
+		return 0
 	})
 	s.pos = 0
 	return nil

@@ -501,8 +501,8 @@ func dropNullKeys(gov *governor, rows []value.Row, cols []int) ([]value.Row, err
 }
 
 func sortByCols(where string, rows []value.Row, cols []int, par int) []value.Row {
-	return sortRowsStable(where, rows, par, func(a, b value.Row) bool {
-		return compareAt(a, cols, b, cols) < 0
+	return sortRowsStable(where, rows, par, func(a, b value.Row) int {
+		return compareAt(a, cols, b, cols)
 	})
 }
 

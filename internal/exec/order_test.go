@@ -136,6 +136,53 @@ func TestGroupAutoExploitsSortedInput(t *testing.T) {
 	}
 }
 
+// TestOrderedHintStreamsUnderGroupAuto: the derived-table shape the
+// optimizer marks GroupBy.Ordered — grouping over a bare-column renaming
+// projection of a sort on the grouping column — compiles under GroupAuto
+// (the engine's only setting) to streaming sort-grouping with no pre-sort,
+// in the row and vectorized compilers, serial and parallel. No
+// plan-level strategy override is needed for the sort to be exploited.
+func TestOrderedHintStreamsUnderGroupAuto(t *testing.T) {
+	s := fixture(t)
+	derived := &algebra.Project{
+		Input: &algebra.Sort{
+			Input: scanOf(t, s, "Employee", "E"),
+			Keys:  []algebra.SortItem{{Col: expr.ColumnID{Table: "E", Name: "DeptID"}}},
+		},
+		Items: []algebra.ProjItem{
+			{E: expr.Column("E", "DeptID"), As: expr.ColumnID{Table: "T", Name: "DeptID"}},
+			{E: expr.Column("E", "EmpID"), As: expr.ColumnID{Table: "T", Name: "EmpID"}},
+		},
+	}
+	group := &algebra.GroupBy{
+		Input:     derived,
+		GroupCols: []expr.ColumnID{{Table: "T", Name: "DeptID"}},
+		Aggs: []algebra.AggItem{
+			{E: &expr.Aggregate{Func: expr.AggCount, Arg: expr.Column("T", "EmpID")}, As: expr.ColumnID{Name: "n"}},
+		},
+		Ordered: true,
+	}
+	ref := run(t, group, s, &Options{Group: GroupHash})
+	for _, vectorize := range []bool{false, true} {
+		for _, par := range []int{1, 2} {
+			opts := &Options{Group: GroupAuto, Vectorize: vectorize, Parallelism: par}
+			c := &compiler{store: s, opts: opts, par: par}
+			out, err := c.compile(group)
+			must(t, err)
+			sg, ok := out.op.(*sortGroupOp)
+			if !ok {
+				t.Fatalf("vectorize=%v par=%d: compiled to %T, want sortGroupOp", vectorize, par, out.op)
+			}
+			if !sg.preSorted {
+				t.Errorf("vectorize=%v par=%d: sort-grouping re-sorts an input already in key order", vectorize, par)
+			}
+			if res := run(t, group, s, opts); !sameMultiset(res.Rows, ref.Rows) {
+				t.Errorf("vectorize=%v par=%d: streamed groups %v, hash groups %v", vectorize, par, res.Rows, ref.Rows)
+			}
+		}
+	}
+}
+
 // TestMergeJoinExploitsSortedInputs: a merge join over inputs sorted on the
 // join keys skips its sorts (flags set) and still produces correct output.
 func TestMergeJoinExploitsSortedInputs(t *testing.T) {

@@ -34,7 +34,7 @@ package exec
 import (
 	"hash/fnv"
 	"runtime"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -698,15 +698,16 @@ func (g *groupCore) mergeStates(dst, src *groupState) error {
 
 // --------------------------------------------------------- parallel sort
 
-// sortRowsStable stable-sorts rows under less, in parallel when par > 1:
+// sortRowsStable stable-sorts rows under cmp, in parallel when par > 1:
 // fixed contiguous chunks are sorted concurrently (in place) and then
 // merged pairwise, ties taking the left — lower-index — chunk's row first.
-// The output permutation is exactly sort.SliceStable's, so parallel and
-// serial sorts are interchangeable everywhere, including beneath
-// order-exploiting operators.
-func sortRowsStable(where string, rows []value.Row, par int, less func(a, b value.Row) bool) []value.Row {
+// A stable sort under one comparator has a single output permutation (key
+// order, ties in input order), so parallel and serial sorts are
+// interchangeable everywhere, including beneath order-exploiting
+// operators.
+func sortRowsStable(where string, rows []value.Row, par int, cmp func(a, b value.Row) int) []value.Row {
 	if par <= 1 || len(rows) < 2*MorselSize {
-		sort.SliceStable(rows, func(i, j int) bool { return less(rows[i], rows[j]) })
+		slices.SortStableFunc(rows, cmp)
 		return rows
 	}
 	size := chunkSizeFor(len(rows), par)
@@ -717,7 +718,7 @@ func sortRowsStable(where string, rows []value.Row, par int, less func(a, b valu
 	// it — the operator or Run-level recovery reports it.
 	if err := forEachChunk(where, par, len(rows), size, func(w, c, lo, hi int) error {
 		run := rows[lo:hi]
-		sort.SliceStable(run, func(i, j int) bool { return less(run[i], run[j]) })
+		slices.SortStableFunc(run, cmp)
 		runs[c] = run
 		return nil
 	}); err != nil {
@@ -738,7 +739,7 @@ func sortRowsStable(where string, rows []value.Row, par int, less func(a, b valu
 			for i < len(a) && k < len(b) {
 				// Stability: take from the left run unless the right
 				// row is strictly smaller.
-				if less(b[k], a[i]) {
+				if cmp(b[k], a[i]) < 0 {
 					out = append(out, b[k])
 					k++
 				} else {

@@ -98,7 +98,8 @@ func TestSortRowsStableMatchesSerial(t *testing.T) {
 	for i := range rows {
 		rows[i] = value.Row{value.NewInt(int64(r.Intn(5))), value.NewInt(int64(i))}
 	}
-	less := func(a, b value.Row) bool { return a[0].Int() < b[0].Int() }
+	cmp := func(a, b value.Row) int { return value.OrderKey(a[0], b[0]) }
+	less := func(a, b value.Row) bool { return cmp(a, b) < 0 }
 
 	want := make([]value.Row, n)
 	copy(want, rows)
@@ -107,7 +108,7 @@ func TestSortRowsStableMatchesSerial(t *testing.T) {
 	for _, par := range []int{2, 3, 4, 8} {
 		in := make([]value.Row, n)
 		copy(in, rows)
-		got := sortRowsStable("test", in, par, less)
+		got := sortRowsStable("test", in, par, cmp)
 		for i := range got {
 			if got[i][0].Int() != want[i][0].Int() || got[i][1].Int() != want[i][1].Int() {
 				t.Fatalf("par=%d: position %d is (%d,%d), want (%d,%d)",

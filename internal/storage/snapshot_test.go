@@ -125,33 +125,43 @@ func TestSnapshotCatalogIsolation(t *testing.T) {
 
 // Concurrent snapshot readers vs a writer: run under -race. Each reader
 // captures a snapshot, records its length, and re-reads it repeatedly
-// while the writer keeps inserting; any drift is a torn snapshot.
+// while the writer keeps inserting; any drift is a torn snapshot. The
+// writer is paced by reader checkpoints: every reader iteration
+// grants it insertsPerCheckpoint rows, so the table (and with it each
+// O(n) reader iteration) stays bounded however the scheduler runs the
+// goroutines, and the insert count is fixed.
 func TestSnapshotConcurrentReadersVsWriter(t *testing.T) {
+	const (
+		readerCount          = 8
+		itersPerReader       = 200
+		insertsPerCheckpoint = 2
+	)
 	s := snapshotStore(t)
 	for i := 0; i < 8; i++ {
 		s.MustInsert("t", intsRow(int64(i), int64(i)))
 	}
+	// One slot per checkpoint: readers never wait for the writer.
+	checkpoints := make(chan struct{}, readerCount*itersPerReader)
 	var writer sync.WaitGroup
-	stop := make(chan struct{})
 	writer.Add(1)
 	go func() {
 		defer writer.Done()
-		for i := 8; ; i++ {
-			select {
-			case <-stop:
-				return
-			default:
+		i := 8
+		for range checkpoints {
+			for k := 0; k < insertsPerCheckpoint; k++ {
+				s.MustInsert("t", intsRow(int64(i), int64(i)))
+				i++
 			}
-			s.MustInsert("t", intsRow(int64(i), int64(i)))
 		}
 	}()
 	errs := make(chan error, 8)
 	var readers sync.WaitGroup
-	for r := 0; r < 8; r++ {
+	for r := 0; r < readerCount; r++ {
 		readers.Add(1)
 		go func() {
 			defer readers.Done()
-			for iter := 0; iter < 200; iter++ {
+			for iter := 0; iter < itersPerReader; iter++ {
+				checkpoints <- struct{}{}
 				snap := s.Snapshot()
 				tab, err := snap.Table("t")
 				if err != nil {
@@ -183,11 +193,18 @@ func TestSnapshotConcurrentReadersVsWriter(t *testing.T) {
 		}()
 	}
 	readers.Wait()
-	close(stop)
+	close(checkpoints)
 	writer.Wait()
 	select {
 	case err := <-errs:
 		t.Fatal(err)
 	default:
+	}
+	tab, err := s.Table("t")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := tab.Len(), 8+readerCount*itersPerReader*insertsPerCheckpoint; got != want {
+		t.Fatalf("table has %d rows after the writer, want %d", got, want)
 	}
 }
