@@ -97,7 +97,7 @@ func measureCtx() (context.Context, context.CancelFunc) {
 func compareForward(store *storage.Store, query string, reps int) (*bench.Comparison, error) {
 	ctx, cancel := measureCtx()
 	defer cancel()
-	return bench.CompareForwardWith(store, query, reps, parallelism,
+	return bench.CompareForward(store, query, reps, parallelism,
 		bench.Governed{Context: ctx, MemoryBudget: memBudget, Vectorize: vectorize, SpillDir: spillDir})
 }
 
@@ -105,7 +105,7 @@ func compareForward(store *storage.Store, query string, reps int) (*bench.Compar
 func compareReverse(store *storage.Store, query string, reps int) (*bench.Comparison, error) {
 	ctx, cancel := measureCtx()
 	defer cancel()
-	return bench.CompareReverseWith(store, query, reps, parallelism,
+	return bench.CompareReverse(store, query, reps, parallelism,
 		bench.Governed{Context: ctx, MemoryBudget: memBudget, Vectorize: vectorize, SpillDir: spillDir})
 }
 
@@ -500,11 +500,11 @@ func runE13(reps int) error {
 		}
 		plan := report.Standard
 		ctx, cancel := measureCtx()
-		rowRun, err := bench.RunPlanGoverned("row engine", plan, store, reps, parallelism,
+		rowRun, err := bench.RunPlan("row engine", plan, store, reps, parallelism,
 			bench.Governed{Context: ctx, MemoryBudget: memBudget})
 		if err == nil {
 			var vecRun *bench.PlanRun
-			vecRun, err = bench.RunPlanGoverned("vectorized engine", plan, store, reps, parallelism,
+			vecRun, err = bench.RunPlan("vectorized engine", plan, store, reps, parallelism,
 				bench.Governed{Context: ctx, MemoryBudget: memBudget, Vectorize: true})
 			if err == nil {
 				if !rowRun.SameRows(vecRun) {
@@ -564,7 +564,7 @@ func runE15(reps int) error {
 	}
 	ctx, cancel := measureCtx()
 	defer cancel()
-	ref, err := bench.RunPlanGoverned("in-memory reference", plan, store, reps, parallelism,
+	ref, err := bench.RunPlan("in-memory reference", plan, store, reps, parallelism,
 		bench.Governed{Context: ctx, Vectorize: vectorize})
 	if err != nil {
 		return err
@@ -572,7 +572,7 @@ func runE15(reps int) error {
 	fmt.Printf("reference (no budget): %v for %d result rows\n\n", ref.Duration, ref.OutRows)
 	fmt.Printf("%-10s  %-14s  %12s  %8s  %s\n", "budget", "time", "spill bytes", "vs ref", "rows")
 	for _, budget := range []int64{4 << 20, 1 << 20, 256 << 10, 64 << 10} {
-		run, err := bench.RunPlanGoverned(fmt.Sprintf("budget %s", budgetLabel(budget)),
+		run, err := bench.RunPlan(fmt.Sprintf("budget %s", budgetLabel(budget)),
 			plan, store, reps, parallelism,
 			bench.Governed{Context: ctx, MemoryBudget: budget, Vectorize: vectorize, SpillDir: dir})
 		if err != nil {

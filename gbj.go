@@ -605,14 +605,13 @@ func (e *Engine) runConfigLocked(o *QueryOptions) runConfig {
 // so no temp files outlive a query. Fallback re-executions pass
 // spill=false: a spill failure must not retry through the same failing
 // disk, and the lazy plan is the conservative in-memory shape either way.
-// Grouping is GroupAuto: each GroupBy streams sort-grouping only when its
-// input provably arrives in key order (GroupBy.Ordered or the compiler's
-// propagated order) and hashes otherwise, so an ORDER BY above grouping
-// sorts only the grouped output.
+// The executor picks every operator from what it can prove: a GroupBy
+// streams only when its compiled input provably arrives in key order and
+// hashes otherwise, so an ORDER BY above grouping sorts only the grouped
+// output.
 func governedRun(ctx context.Context, cfg runConfig, plan algebra.Node, params expr.Params, col *obs.Collector, tracer *obs.Tracer, spill bool) (*exec.Result, error) {
 	opts := &exec.Options{
 		Params:       params,
-		Group:        exec.GroupAuto,
 		Parallelism:  cfg.parallelism,
 		Vectorize:    cfg.vectorize,
 		Context:      ctx,

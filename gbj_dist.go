@@ -270,13 +270,13 @@ func translateCerts(dp *dist.Plan, certs []*plancheck.Certificate) []*plancheck.
 }
 
 // distOptions assembles the exec options every fragment run inherits.
-// Grouping always hashes: fragment output order is defined by the runner's
-// node-order concatenation, and any ORDER BY runs as a real coordinator
-// sort, so order-propagation elision has nothing to offer.
+// Fragments compile like local plans: shard and exchange leaves carry no
+// order guarantee, so a fragment's grouping streams only when a Sort inside
+// the fragment proves key order and hashes otherwise; any ORDER BY runs as
+// a real coordinator sort.
 func (e *Engine) distOptions(ctx context.Context, params expr.Params, col *obs.Collector) *exec.Options {
 	return &exec.Options{
 		Params:       params,
-		Group:        exec.GroupHash,
 		Parallelism:  e.parallelism,
 		Context:      ctx,
 		MemoryBudget: e.memBudget,

@@ -238,12 +238,6 @@ type GroupBy struct {
 	Input     Node
 	GroupCols []expr.ColumnID
 	Aggs      []AggItem
-	// Ordered is the optimizer's order-properties hint: the input provably
-	// streams ordered on a (all-ascending) key sequence covering GroupCols,
-	// so the executor may group in a single streaming pass with no sort and
-	// no hash table. The plan verifier's order-requirement rule checks the
-	// claim against an ancestor Sort; execution stays correct either way.
-	Ordered bool
 }
 
 // Schema returns the grouping columns (with their input types) followed by

@@ -122,7 +122,6 @@ func CompareRecovered(ctx context.Context, store *storage.Store, query string, n
 	col := obs.NewCollector()
 	start := time.Now()
 	res, err := cl.Run(dp, &exec.Options{
-		Group:       exec.GroupHash,
 		Parallelism: parallelism,
 		Context:     ctx,
 		Metrics:     col,
@@ -141,7 +140,6 @@ func CompareRecovered(ctx context.Context, store *storage.Store, query string, n
 	col = obs.NewCollector()
 	start = time.Now()
 	res, err = cl.RunRecover(dp, &exec.Options{
-		Group:       exec.GroupHash,
 		Parallelism: parallelism,
 		Context:     ctx,
 		Metrics:     col,
@@ -179,7 +177,6 @@ func runDistPlan(ctx context.Context, cl *dist.Cluster, plan algebra.Node, strat
 		col := obs.NewCollector()
 		start := time.Now()
 		res, err := cl.Run(dp, &exec.Options{
-			Group:       exec.GroupHash,
 			Parallelism: parallelism,
 			Context:     ctx,
 			Metrics:     col,

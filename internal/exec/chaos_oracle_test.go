@@ -65,15 +65,13 @@ func TestChaosOracle(t *testing.T) {
 			plans = append(plans, report.Alternative)
 		}
 		plan := plans[r.Intn(len(plans))]
-		js := joinStrategies[r.Intn(len(joinStrategies))]
-		gs := groupStrategies[r.Intn(len(groupStrategies))]
 		par := 1 + 3*r.Intn(2) // 1 or 4
 		vecMode := r.Intn(2) == 1
 
-		// The oracle: the same plan and strategies, no faults, serial,
+		// The oracle: the same plan, no faults, serial,
 		// row-at-a-time. Faulted vectorized runs are held to the row
 		// engine's exact rows, so chaos doubles as a differential oracle.
-		oracleRes, err := exec.Run(plan, store, &exec.Options{Join: js, Group: gs})
+		oracleRes, err := exec.Run(plan, store, &exec.Options{})
 		if err != nil {
 			t.Fatalf("oracle run for %q: %v", query, err)
 		}
@@ -88,7 +86,7 @@ func TestChaosOracle(t *testing.T) {
 				WithCancel(cancel).
 				WithDelay(20 * time.Microsecond)
 			opts := &exec.Options{
-				Join: js, Group: gs, Parallelism: par, Vectorize: vecMode,
+				Parallelism: par, Vectorize: vecMode,
 				Context: ctx, Faults: inj,
 			}
 			// A third of the runs also carry a tight-ish memory budget, so
@@ -102,8 +100,8 @@ func TestChaosOracle(t *testing.T) {
 				cleanRuns++
 				got := rowStrings(res.Rows)
 				if !sameRowOrder(want, got) {
-					t.Fatalf("faulted run diverged from oracle without reporting an error\nquery: %s\njoin=%v group=%v par=%d vec=%v budget=%d schedule=%v\noracle (%d rows): %v\nfaulted (%d rows): %v",
-						query, js, gs, par, vecMode, opts.MemoryBudget, inj.Events(), len(want), want, len(got), got)
+					t.Fatalf("faulted run diverged from oracle without reporting an error\nquery: %s\npar=%d vec=%v budget=%d schedule=%v\noracle (%d rows): %v\nfaulted (%d rows): %v",
+						query, par, vecMode, opts.MemoryBudget, inj.Events(), len(want), want, len(got), got)
 				}
 			} else {
 				faultedRuns++
@@ -111,8 +109,8 @@ func TestChaosOracle(t *testing.T) {
 					t.Fatalf("failed run returned a partial result\nquery: %s\nerr: %v", query, err)
 				}
 				if !chaosExpectedError(err) {
-					t.Fatalf("fault surfaced as an untyped error\nquery: %s\njoin=%v group=%v par=%d vec=%v budget=%d schedule=%v\nerr (%T): %v",
-						query, js, gs, par, vecMode, opts.MemoryBudget, inj.Events(), err, err)
+					t.Fatalf("fault surfaced as an untyped error\nquery: %s\npar=%d vec=%v budget=%d schedule=%v\nerr (%T): %v",
+						query, par, vecMode, opts.MemoryBudget, inj.Events(), err, err)
 				}
 			}
 		}

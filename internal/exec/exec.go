@@ -1,9 +1,11 @@
 // Package exec implements the physical executor: a Volcano-style iterator
 // engine that lowers logical plans (package algebra) onto in-memory tables
-// (package storage). Each logical operator has one or more physical
-// implementations — joins can run as hash, sort-merge or nested-loop;
-// grouping as hash aggregation or sort-based aggregation pipelined with the
-// sort (the Klug/Dayal technique the paper's Section 2 recounts).
+// (package storage). The compiler picks each physical operator from what it
+// can prove about the plan, never from a caller-supplied strategy: a join
+// hashes when its condition has an equi-key and runs a nested loop
+// otherwise; a grouping streams over input it can prove is already in key
+// order (aggregation pipelined with the sort, the Klug/Dayal technique the
+// paper's Section 2 recounts) and hashes otherwise.
 //
 // The executor records the number of rows each plan node produces. Those
 // counts are how the benchmark harness regenerates the paper's Figure 1 and
@@ -14,7 +16,6 @@ package exec
 import (
 	"context"
 	"fmt"
-	"sync"
 
 	"repro/internal/algebra"
 	"repro/internal/expr"
@@ -24,66 +25,8 @@ import (
 	"repro/internal/value"
 )
 
-// JoinStrategy selects the physical join implementation.
-type JoinStrategy uint8
-
-// Join strategies. Auto picks hash when an equi-key exists, else nested
-// loop.
-const (
-	JoinAuto JoinStrategy = iota
-	JoinHash
-	JoinSortMerge
-	JoinNestedLoop
-)
-
-// String names the strategy.
-func (s JoinStrategy) String() string {
-	switch s {
-	case JoinAuto:
-		return "auto"
-	case JoinHash:
-		return "hash"
-	case JoinSortMerge:
-		return "sort-merge"
-	case JoinNestedLoop:
-		return "nested-loop"
-	default:
-		return fmt.Sprintf("JoinStrategy(%d)", uint8(s))
-	}
-}
-
-// GroupStrategy selects the physical grouping implementation.
-type GroupStrategy uint8
-
-// Grouping strategies. GroupAuto exploits interesting orders (the paper's
-// Section 7: grouped output "is normally sorted based on the grouping
-// columns" and sortedness can be exploited downstream): when the input is
-// already ordered on the grouping columns, grouping runs as a single
-// streaming pass with no sort; otherwise it hashes.
-const (
-	GroupHash GroupStrategy = iota
-	GroupSort
-	GroupAuto
-)
-
-// String names the strategy.
-func (s GroupStrategy) String() string {
-	switch s {
-	case GroupHash:
-		return "hash"
-	case GroupSort:
-		return "sort"
-	case GroupAuto:
-		return "auto"
-	default:
-		return fmt.Sprintf("GroupStrategy(%d)", uint8(s))
-	}
-}
-
 // Options configures an execution.
 type Options struct {
-	Join   JoinStrategy
-	Group  GroupStrategy
 	Params expr.Params
 	// Parallelism is the worker count for morsel-style intra-operator
 	// parallelism: 0 (and 1) preserve serial execution — the exact
@@ -94,22 +37,12 @@ type Options struct {
 	// means one worker per CPU. Results are row-identical to serial
 	// execution for any setting (see parallel.go).
 	Parallelism int
-	// Stats, when non-nil, receives the actual output cardinality of
-	// every plan node. It predates the Metrics collector and is kept as a
-	// compatibility shim: both paths share one instrumentation wrapper
-	// (metricOp) whose row counter is atomic and whose map writes are
-	// serialized through a plan-wide mutex, because parallel execution
-	// drains the two inputs of a join concurrently and sibling wrappers
-	// therefore close concurrently against the shared sink. New code
-	// should prefer Metrics, which also records timings, hash-table and
-	// morsel statistics.
-	Stats algebra.Annotations
 	// Metrics, when non-nil, collects per-operator obs.OpMetrics keyed by
 	// plan node: rows in/out, wall time, hash-table build entries and
 	// probe hits, approximate state bytes, and per-worker morsel counts.
-	// Use a fresh collector per run. When nil (and Stats and Trace are
-	// nil too) the executor inserts no instrumentation at all, so the
-	// disabled path adds zero allocations per row.
+	// Use a fresh collector per run. When nil (and Trace is nil too) the
+	// executor inserts no instrumentation at all, so the disabled path adds
+	// zero allocations per row.
 	Metrics *obs.Collector
 	// Clock supplies the timestamps behind operator timings and trace
 	// spans; nil means obs.Wall. Inject an obs.FakeClock to make timing
@@ -242,9 +175,10 @@ func Run(root algebra.Node, store *storage.Store, opts *Options) (res *Result, e
 // compiled couples a physical operator with its output-order guarantee:
 // order lists the output column positions the stream is sorted by
 // (ascending under value.OrderKey); nil means no guarantee. The compiler
-// propagates this "interesting order" property to skip redundant sorts —
-// the paper's Section 7 observation that grouped output arrives sorted on
-// the grouping columns and downstream operators can exploit it.
+// propagates this "interesting order" property bottom-up and it is the one
+// order proof the executor acts on: it elides redundant sorts and decides
+// whether a grouping streams — the paper's Section 7 observation that
+// sorted output can be exploited by the operator above it.
 type compiled struct {
 	op    Operator
 	order []int
@@ -253,7 +187,7 @@ type compiled struct {
 // orderedPrefixSet reports whether the first len(cols) entries of order
 // cover exactly the column set cols. Rows sorted by a column-sequence
 // prefix are contiguous on any permutation of that prefix, which is all
-// streaming grouping and merge joins need.
+// streaming grouping needs.
 func orderedPrefixSet(order []int, cols []int) bool {
 	if len(order) < len(cols) || len(cols) == 0 {
 		return false
@@ -315,12 +249,6 @@ type compiler struct {
 	// span is the trace span of the node currently being compiled; child
 	// compilations hang their spans beneath it, mirroring the plan tree.
 	span *obs.Span
-	// sinkMu serializes writes to the shared Stats annotation map: under
-	// parallel execution the two inputs of a join are drained by
-	// concurrent goroutines, so sibling metricOp Closes would race on the
-	// map without it. (The Metrics collector needs no such lock — its
-	// counters are atomics on preallocated per-node structs.)
-	sinkMu sync.Mutex
 	// gov is the execution's lifecycle governor; nil when no cancellation
 	// context, memory budget or fault injector is configured, in which
 	// case no governOp wrappers are inserted either.
@@ -353,13 +281,10 @@ func (c *compiler) compile(n algebra.Node) (compiled, error) {
 	if c.gov != nil {
 		out.op = &governOp{inner: out.op, gov: c.gov, batch: batchSource(out.op)}
 	}
-	if c.opts.Stats != nil || c.opts.Metrics != nil || span != nil {
+	if c.opts.Metrics != nil || span != nil {
 		out.op = &metricOp{
 			inner:   out.op,
-			node:    n,
 			metrics: c.nodeMetrics(n),
-			sink:    c.opts.Stats,
-			mu:      &c.sinkMu,
 			clock:   c.clock,
 			span:    span,
 			batch:   batchSource(out.op),
@@ -489,42 +414,48 @@ func (c *compiler) compileInner(n algebra.Node) (compiled, error) {
 		if err != nil {
 			return compiled{}, err
 		}
-		schema := node.Input.Schema()
-		keys := make([]sortKey, len(node.Keys))
-		allAsc := true
-		keyCols := make([]int, len(node.Keys))
-		for i, k := range node.Keys {
-			idx, err := schema.IndexOf(k.Col)
-			if err != nil {
-				return compiled{}, err
-			}
-			keys[i] = sortKey{col: idx, desc: k.Desc}
-			keyCols[i] = idx
-			if k.Desc {
-				allAsc = false
-			}
+		keys, order, err := sortKeys(node.Input.Schema(), node.Keys)
+		if err != nil {
+			return compiled{}, err
 		}
 		// Skip the sort entirely when the input already streams in the
 		// requested (all-ascending) key sequence.
-		if allAsc && hasSequencePrefix(in.order, keyCols) {
+		if len(order) == len(keys) && hasSequencePrefix(in.order, order) {
 			return in, nil
-		}
-		outOrder := keyCols
-		if !allAsc {
-			outOrder = nil // mixed directions: no OrderKey-ascending guarantee
 		}
 		if c.spill != nil {
 			return compiled{
 				op:    &extSortOp{input: in.op, keys: keys, gov: c.gov, mgr: c.spill, metrics: c.nodeMetrics(n), where: n.Describe()},
-				order: outOrder,
+				order: order,
 			}, nil
 		}
-		return compiled{op: &sortOp{input: in.op, keys: keys, par: c.par}, order: outOrder}, nil
+		return compiled{op: &sortOp{input: in.op, keys: keys, par: c.par}, order: order}, nil
 	case *algebra.Limit:
 		return c.compileLimit(node)
 	default:
 		return compiled{}, fmt.Errorf("exec: no physical implementation for %T", n)
 	}
+}
+
+// sortKeys resolves ORDER BY items against the input schema. order is the
+// output order a sort on keys guarantees: the longest all-ascending key
+// prefix. A stream sorted by (a, b DESC) is still ascending on a, so a
+// grouping on a above it can stream.
+func sortKeys(schema algebra.Schema, items []algebra.SortItem) (keys []sortKey, order []int, err error) {
+	keys = make([]sortKey, len(items))
+	ascending := true
+	for i, k := range items {
+		idx, err := schema.IndexOf(k.Col)
+		if err != nil {
+			return nil, nil, err
+		}
+		keys[i] = sortKey{col: idx, desc: k.Desc}
+		ascending = ascending && !k.Desc
+		if ascending {
+			order = append(order, idx)
+		}
+	}
+	return keys, order, nil
 }
 
 // hasSequencePrefix reports whether order starts with exactly the sequence

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/algebra"
 	"repro/internal/expr"
+	"repro/internal/obs"
 	"repro/internal/schema"
 	"repro/internal/storage"
 	"repro/internal/value"
@@ -177,20 +178,40 @@ func joinPlan(t *testing.T, s *storage.Store) *algebra.Join {
 	}
 }
 
-// TestJoinStrategiesAgree: hash, sort-merge and nested-loop joins must
-// produce identical multisets, and NULL join keys never match.
+// asNestedLoop restates a join as a filtered product: the product has no
+// equi-key, so it compiles to a nested loop, and the filter applies the
+// join condition — the reference a hash join is checked against.
+func asNestedLoop(j *algebra.Join) algebra.Node {
+	return &algebra.Select{Input: &algebra.Product{L: j.L, R: j.R}, Cond: j.Cond}
+}
+
+// TestJoinStrategiesAgree: the hash join an equi-condition compiles to and
+// the nested loop its filtered-product form compiles to produce identical
+// multisets, and NULL join keys never match.
 func TestJoinStrategiesAgree(t *testing.T) {
 	s := fixture(t)
+	join := joinPlan(t, s)
+	c := &compiler{store: s, opts: &Options{}, par: 1}
+	out, err := c.compile(join)
+	must(t, err)
+	if _, ok := out.op.(*hashJoinOp); !ok {
+		t.Fatalf("equi-join compiled to %T, want hashJoinOp", out.op)
+	}
+	out, err = c.compile(&algebra.Product{L: join.L, R: join.R})
+	must(t, err)
+	if _, ok := out.op.(*nestedLoopJoinOp); !ok {
+		t.Fatalf("product compiled to %T, want nestedLoopJoinOp", out.op)
+	}
 	var results [][]value.Row
-	for _, strat := range []JoinStrategy{JoinHash, JoinSortMerge, JoinNestedLoop} {
-		res := run(t, joinPlan(t, s), s, &Options{Join: strat})
+	for _, plan := range []algebra.Node{join, asNestedLoop(join)} {
+		res := run(t, plan, s, nil)
 		if len(res.Rows) != 5 {
-			t.Errorf("%s join produced %d rows, want 5 (NULL key must drop)", strat, len(res.Rows))
+			t.Errorf("%s produced %d rows, want 5 (NULL key must drop)", plan.Describe(), len(res.Rows))
 		}
 		results = append(results, res.Rows)
 	}
-	if !sameMultiset(results[0], results[1]) || !sameMultiset(results[0], results[2]) {
-		t.Error("join strategies disagree")
+	if !sameMultiset(results[0], results[1]) {
+		t.Error("hash join and nested loop disagree")
 	}
 }
 
@@ -204,10 +225,10 @@ func TestJoinWithResidualPredicate(t *testing.T) {
 			expr.NewBinary(expr.OpGt, expr.Column("E", "Salary"), expr.IntLit(150)),
 		),
 	}
-	for _, strat := range []JoinStrategy{JoinHash, JoinSortMerge, JoinNestedLoop} {
-		res := run(t, plan, s, &Options{Join: strat})
+	for _, p := range []algebra.Node{plan, asNestedLoop(plan)} {
+		res := run(t, p, s, nil)
 		if len(res.Rows) != 3 {
-			t.Errorf("%s join with residual produced %d rows, want 3", strat, len(res.Rows))
+			t.Errorf("%s with residual produced %d rows, want 3", p.Describe(), len(res.Rows))
 		}
 	}
 }
@@ -227,8 +248,8 @@ func TestCartesianProduct(t *testing.T) {
 	}
 }
 
-// TestJoinNoEquiKeyFallsBack: theta joins (no equality atom) run as nested
-// loop even when hash is requested.
+// TestJoinNoEquiKeyFallsBack: theta joins (no equality atom) run as a
+// nested loop.
 func TestJoinNoEquiKeyFallsBack(t *testing.T) {
 	s := fixture(t)
 	plan := &algebra.Join{
@@ -236,7 +257,7 @@ func TestJoinNoEquiKeyFallsBack(t *testing.T) {
 		R:    scanOf(t, s, "Department", "D"),
 		Cond: expr.NewBinary(expr.OpLt, expr.Column("E", "DeptID"), expr.Column("D", "DeptID")),
 	}
-	res := run(t, plan, s, &Options{Join: JoinHash})
+	res := run(t, plan, s, nil)
 	// E.DeptID < D.DeptID pairs: dept 1 rows (2) match D 2,3 → 4;
 	// dept 2 rows (3) match D 3 → 3; NULL drops. Total 7.
 	if len(res.Rows) != 7 {
@@ -257,12 +278,36 @@ func groupPlan(t *testing.T, s *storage.Store, strategyIndependent bool) *algebr
 	}
 }
 
-// TestGroupByHashAndSortAgree: the two grouping strategies must form
+// sortedOn wraps a plan in an ascending Sort on the given columns.
+func sortedOn(in algebra.Node, cols ...expr.ColumnID) *algebra.Sort {
+	keys := make([]algebra.SortItem, len(cols))
+	for i, c := range cols {
+		keys[i] = algebra.SortItem{Col: c}
+	}
+	return &algebra.Sort{Input: in, Keys: keys}
+}
+
+// TestGroupByHashAndSortAgree: hash grouping of an unordered input and
+// streaming grouping of the same input sorted on the grouping columns form
 // identical groups and aggregates.
 func TestGroupByHashAndSortAgree(t *testing.T) {
 	s := fixture(t)
-	hash := run(t, groupPlan(t, s, true), s, &Options{Group: GroupHash})
-	sorted := run(t, groupPlan(t, s, true), s, &Options{Group: GroupSort})
+	plain := groupPlan(t, s, true)
+	streamed := groupPlan(t, s, true)
+	streamed.Input = sortedOn(streamed.Input, streamed.GroupCols...)
+	c := &compiler{store: s, opts: &Options{}, par: 1}
+	out, err := c.compile(plain)
+	must(t, err)
+	if _, ok := out.op.(*hashGroupOp); !ok {
+		t.Fatalf("grouping over an unordered join compiled to %T, want hashGroupOp", out.op)
+	}
+	out, err = c.compile(streamed)
+	must(t, err)
+	if _, ok := out.op.(*sortGroupOp); !ok {
+		t.Fatalf("grouping over a covering sort compiled to %T, want sortGroupOp", out.op)
+	}
+	hash := run(t, plain, s, nil)
+	sorted := run(t, streamed, s, nil)
 	if !sameMultiset(hash.Rows, sorted.Rows) {
 		t.Fatalf("hash grouping %v != sort grouping %v", hash.Rows, sorted.Rows)
 	}
@@ -298,10 +343,12 @@ func TestGroupByNullKeysGroupTogether(t *testing.T) {
 			{E: &expr.Aggregate{Func: expr.AggCountStar}, As: expr.ColumnID{Name: "n"}},
 		},
 	}
-	for _, strat := range []GroupStrategy{GroupHash, GroupSort} {
-		res := run(t, plan, s, &Options{Group: strat})
+	streamed := *plan
+	streamed.Input = sortedOn(plan.Input, plan.GroupCols...)
+	for _, p := range []*algebra.GroupBy{plan, &streamed} {
+		res := run(t, p, s, nil)
 		if len(res.Rows) != 3 {
-			t.Fatalf("%s grouping made %d groups, want 3 (1, 2, NULL)", strat, len(res.Rows))
+			t.Fatalf("grouping over %s made %d groups, want 3 (1, 2, NULL)", p.Input.Describe(), len(res.Rows))
 		}
 		foundNull := false
 		for _, row := range res.Rows {
@@ -333,14 +380,12 @@ func TestScalarAggregateEmptyInput(t *testing.T) {
 			{E: &expr.Aggregate{Func: expr.AggSum, Arg: expr.Column("E", "Salary")}, As: expr.ColumnID{Name: "s"}},
 		},
 	}
-	for _, strat := range []GroupStrategy{GroupHash, GroupSort} {
-		res := run(t, plan, s, &Options{Group: strat})
-		if len(res.Rows) != 1 {
-			t.Fatalf("%s scalar aggregate produced %d rows, want 1", strat, len(res.Rows))
-		}
-		if res.Rows[0][0].Int() != 0 || !res.Rows[0][1].IsNull() {
-			t.Errorf("scalar aggregate on empty input = %v, want (0, NULL)", res.Rows[0])
-		}
+	res := run(t, plan, s, nil)
+	if len(res.Rows) != 1 {
+		t.Fatalf("scalar aggregate produced %d rows, want 1", len(res.Rows))
+	}
+	if res.Rows[0][0].Int() != 0 || !res.Rows[0][1].IsNull() {
+		t.Errorf("scalar aggregate on empty input = %v, want (0, NULL)", res.Rows[0])
 	}
 }
 
@@ -428,7 +473,7 @@ func TestSortOperator(t *testing.T) {
 	}
 }
 
-// TestStatsCollection: the Stats option records per-node output
+// TestStatsCollection: the Metrics collector records per-node output
 // cardinalities — the mechanism behind the Figure 1 / Figure 8 plan
 // annotations.
 func TestStatsCollection(t *testing.T) {
@@ -441,16 +486,17 @@ func TestStatsCollection(t *testing.T) {
 			{E: &expr.Aggregate{Func: expr.AggCountStar}, As: expr.ColumnID{Name: "n"}},
 		},
 	}
-	stats := make(algebra.Annotations)
-	_ = run(t, group, s, &Options{Stats: stats})
-	if stats[join].Rows != 5 {
-		t.Errorf("join output recorded as %d rows, want 5", stats[join].Rows)
+	col := obs.NewCollector()
+	_ = run(t, group, s, &Options{Metrics: col})
+	rows := func(n algebra.Node) int64 { return col.Lookup(n).RowsOut.Load() }
+	if rows(join) != 5 {
+		t.Errorf("join output recorded as %d rows, want 5", rows(join))
 	}
-	if stats[group].Rows != 2 {
-		t.Errorf("group output recorded as %d rows, want 2", stats[group].Rows)
+	if rows(group) != 2 {
+		t.Errorf("group output recorded as %d rows, want 2", rows(group))
 	}
-	if stats[join.L].Rows != 6 || stats[join.R].Rows != 3 {
-		t.Errorf("scan cardinalities (%d, %d), want (6, 3)", stats[join.L].Rows, stats[join.R].Rows)
+	if rows(join.L) != 6 || rows(join.R) != 3 {
+		t.Errorf("scan cardinalities (%d, %d), want (6, 3)", rows(join.L), rows(join.R))
 	}
 }
 

@@ -60,30 +60,15 @@ func (c *compiler) compileGroupBy(node *algebra.GroupBy) (compiled, error) {
 		gov:       c.gov,
 		where:     node.Describe(),
 	}
-	// Streams already ordered on the grouping columns have contiguous
-	// groups: a single aggregation pass with no sort and no hash table.
-	// The optimizer's order-properties pass can assert the same thing from
-	// the plan shape (node.Ordered); the executor still verifies against
-	// its own propagated order and falls back to a real sort if the hint
-	// outruns what the physical stream guarantees.
-	preSorted := orderedPrefixSet(in.order, groupCols)
-	strategy := c.opts.Group
-	if strategy == GroupAuto {
-		if preSorted || node.Ordered {
-			strategy = GroupSort
-		} else {
-			strategy = GroupHash
-		}
-	}
-	// Output columns: grouping columns first (positions 0..k-1), then
-	// the aggregate results. A fresh sort orders the output by the
-	// grouping-column sequence; a pre-sorted pass preserves the input's
-	// (possibly permuted) key order.
-	outOrder := make([]int, len(groupCols))
-	for i := range outOrder {
-		outOrder[i] = i
-	}
-	if preSorted {
+	// A stream the compiler proves ordered on the grouping columns has
+	// contiguous groups: aggregate it in a single streaming pass, with no
+	// sort and no hash table. Everything else hashes. Either way the rows
+	// are the same: a hash table emits groups in first-appearance order,
+	// which on a key-ordered stream is the stream's own order.
+	if orderedPrefixSet(in.order, groupCols) {
+		// The output keeps the input's (possibly permuted) key order,
+		// mapped onto the grouping-column positions 0..k-1 of the output.
+		outOrder := make([]int, len(groupCols))
 		for i, src := range in.order[:len(groupCols)] {
 			for gi, gc := range groupCols {
 				if gc == src {
@@ -92,23 +77,15 @@ func (c *compiler) compileGroupBy(node *algebra.GroupBy) (compiled, error) {
 				}
 			}
 		}
+		if c.spill != nil {
+			return compiled{op: &spillGroupOp{groupCore: base, mgr: c.spill}, order: outOrder}, nil
+		}
+		return compiled{op: &sortGroupOp{groupCore: base}, order: outOrder}, nil
 	}
 	if c.spill != nil {
-		// Spill-capable aggregation: both forms degrade to sort-based
-		// external aggregation instead of tripping the budget.
-		if strategy == GroupSort {
-			return compiled{
-				op:    &spillGroupOp{groupCore: base, mgr: c.spill, preSorted: preSorted},
-				order: outOrder,
-			}, nil
-		}
+		// Spill-capable hash aggregation degrades to sort-based external
+		// aggregation instead of tripping the budget.
 		return compiled{op: &spillGroupOp{groupCore: base, mgr: c.spill, byKey: true}}, nil
-	}
-	if strategy == GroupSort {
-		return compiled{
-			op:    &sortGroupOp{groupCore: base, preSorted: preSorted, par: c.par},
-			order: outOrder,
-		}, nil
 	}
 	if c.opts.Vectorize {
 		op := &vecHashGroupOp{groupCore: base, src: c.batchFeedFor(in.op, len(inSchema)), par: c.par}
@@ -319,41 +296,20 @@ func (g *hashGroupOp) Open() error {
 func (g *hashGroupOp) Next() (value.Row, bool, error) { return g.next() }
 func (g *hashGroupOp) Close() error                   { return nil }
 
-// sortGroupOp sorts the input on the grouping columns and aggregates each
-// run of =ⁿ-equal keys in a single pass — grouping pipelined with
-// aggregation, the implementation the paper's Section 2 attributes to
-// sort-based grouping. Output is ordered by the grouping key. With
-// preSorted set (the input already streams in key order) the sort is
-// skipped entirely.
+// sortGroupOp aggregates an input already sorted on the grouping columns
+// in a single pass over each run of =ⁿ-equal keys — grouping pipelined
+// with the sort below it, the implementation the paper's Section 2
+// attributes to sort-based grouping. The compiler chooses it only when its
+// propagated order proves the input is in key order; output keeps that
+// order.
 type sortGroupOp struct {
 	groupCore
-	preSorted bool
-	par       int
 }
 
 func (g *sortGroupOp) Open() error {
 	rows, err := drain(g.input)
 	if err != nil {
 		return err
-	}
-	if g.scalarGroup() {
-		st, err := g.newState(nil)
-		if err != nil {
-			return err
-		}
-		for _, row := range rows {
-			if err := g.gov.tick(); err != nil {
-				return err
-			}
-			if err := g.feed(st, row); err != nil {
-				return err
-			}
-		}
-		g.recordBuild(1, 0)
-		return g.emit([]*groupState{st})
-	}
-	if !g.preSorted {
-		rows = sortByCols(g.where, rows, g.groupCols, g.par)
 	}
 	var states []*groupState
 	var cur *groupState

@@ -61,113 +61,9 @@ func (c *compiler) compileJoin(node *algebra.Join, key algebra.Node) (compiled, 
 		return compiled{}, err
 	}
 
-	strategy := c.opts.Join
-	if strategy == JoinAuto {
-		if len(keys) > 0 {
-			strategy = JoinHash
-		} else {
-			strategy = JoinNestedLoop
-		}
-	}
-	if len(keys) == 0 && strategy != JoinNestedLoop {
-		// Hash and merge joins need an equi-key; fall back.
-		strategy = JoinNestedLoop
-	}
-
-	switch strategy {
-	case JoinHash:
-		// Probe order follows the left input; left columns keep their
-		// positions in the concatenated schema. The partitioned parallel
-		// hash join reproduces the same output order.
-		if c.spill != nil {
-			// Grace hash join: identical streaming behaviour while the
-			// build fits the budget, partitioned spill execution beyond it.
-			return compiled{
-				op: &spillHashJoinOp{
-					left: left.op, right: right.op, keys: keys,
-					residual: boundResidual, params: c.opts.Params,
-					metrics: metrics, gov: c.gov, mgr: c.spill, where: where,
-				},
-				order: left.order,
-			}, nil
-		}
-		if c.opts.Vectorize {
-			return compiled{
-				op: &vecHashJoinOp{
-					left: left.op, right: right.op,
-					lsrc: c.batchFeedFor(left.op, len(lSchema)),
-					rsrc: c.batchFeedFor(right.op, len(rSchema)),
-					keys: keys, residual: boundResidual, params: c.opts.Params,
-					par: c.par, metrics: metrics, gov: c.gov, where: where,
-					lwidth: len(lSchema), rwidth: len(rSchema),
-				},
-				order: left.order,
-			}, nil
-		}
-		if c.par > 1 {
-			return compiled{
-				op: &parallelHashJoinOp{
-					left: left.op, right: right.op, keys: keys,
-					residual: boundResidual, params: c.opts.Params, par: c.par,
-					metrics: metrics, gov: c.gov, where: where,
-				},
-				order: left.order,
-			}, nil
-		}
-		return compiled{
-			op: &hashJoinOp{
-				left: left.op, right: right.op, keys: keys,
-				residual: boundResidual, params: c.opts.Params,
-				metrics: metrics, gov: c.gov, where: where,
-			},
-			order: left.order,
-		}, nil
-	case JoinSortMerge:
-		// Exploit pre-sorted inputs (Section 7: eager aggregation's
-		// sorted output feeds the join): when the left input already
-		// streams in some permutation of the key columns, permute the
-		// key list to match and skip that side's sort; likewise for
-		// the right side against the (possibly permuted) keys.
-		lCols := make([]int, len(keys))
-		for i, k := range keys {
-			lCols[i] = k.left
-		}
-		lSorted := false
-		if orderedPrefixSet(left.order, lCols) {
-			perm := make([]equiKey, 0, len(keys))
-			for _, oc := range left.order[:len(keys)] {
-				for _, k := range keys {
-					if k.left == oc {
-						perm = append(perm, k)
-						break
-					}
-				}
-			}
-			if len(perm) == len(keys) {
-				keys = perm
-				lSorted = true
-			}
-		}
-		rCols := make([]int, len(keys))
-		for i, k := range keys {
-			rCols[i] = k.right
-		}
-		rSorted := lSorted && hasSequencePrefix(right.order, rCols)
-		outOrder := make([]int, len(keys))
-		for i, k := range keys {
-			outOrder[i] = k.left
-		}
-		return compiled{
-			op: &mergeJoinOp{
-				left: left.op, right: right.op, keys: keys,
-				lSorted: lSorted, rSorted: rSorted,
-				residual: boundResidual, params: c.opts.Params, par: c.par,
-				gov: c.gov, where: where,
-			},
-			order: outOrder,
-		}, nil
-	default:
-		// Nested loop evaluates the full condition as a residual.
+	if len(keys) == 0 {
+		// No equi-key: nested loop evaluates the full condition as a
+		// residual.
 		full, err := expr.Bind(node.Cond, node.Schema())
 		if err != nil {
 			return compiled{}, err
@@ -190,6 +86,52 @@ func (c *compiler) compileJoin(node *algebra.Join, key algebra.Node) (compiled, 
 			order: left.order,
 		}, nil
 	}
+	// Probe order follows the left input; left columns keep their
+	// positions in the concatenated schema. The partitioned parallel hash
+	// join reproduces the same output order.
+	if c.spill != nil {
+		// Grace hash join: identical streaming behaviour while the
+		// build fits the budget, partitioned spill execution beyond it.
+		return compiled{
+			op: &spillHashJoinOp{
+				left: left.op, right: right.op, keys: keys,
+				residual: boundResidual, params: c.opts.Params,
+				metrics: metrics, gov: c.gov, mgr: c.spill, where: where,
+			},
+			order: left.order,
+		}, nil
+	}
+	if c.opts.Vectorize {
+		return compiled{
+			op: &vecHashJoinOp{
+				left: left.op, right: right.op,
+				lsrc: c.batchFeedFor(left.op, len(lSchema)),
+				rsrc: c.batchFeedFor(right.op, len(rSchema)),
+				keys: keys, residual: boundResidual, params: c.opts.Params,
+				par: c.par, metrics: metrics, gov: c.gov, where: where,
+				lwidth: len(lSchema), rwidth: len(rSchema),
+			},
+			order: left.order,
+		}, nil
+	}
+	if c.par > 1 {
+		return compiled{
+			op: &parallelHashJoinOp{
+				left: left.op, right: right.op, keys: keys,
+				residual: boundResidual, params: c.opts.Params, par: c.par,
+				metrics: metrics, gov: c.gov, where: where,
+			},
+			order: left.order,
+		}, nil
+	}
+	return compiled{
+		op: &hashJoinOp{
+			left: left.op, right: right.op, keys: keys,
+			residual: boundResidual, params: c.opts.Params,
+			metrics: metrics, gov: c.gov, where: where,
+		},
+		order: left.order,
+	}, nil
 }
 
 // nestedLoopJoinOp materializes the right input and scans it per left row.
@@ -368,116 +310,6 @@ func (j *hashJoinOp) Next() (value.Row, bool, error) {
 
 func (j *hashJoinOp) Close() error { return j.left.Close() }
 
-// mergeJoinOp sorts both inputs on the join keys and merges them, emitting
-// the cross product of each matching key group. NULL keys are dropped for
-// the same reason as in the hash join. lSorted/rSorted mark inputs already
-// ordered on the keys, whose sort is skipped. With par > 1 the two inputs
-// are drained concurrently and the key sorts run as parallel stable sorts.
-type mergeJoinOp struct {
-	left, right      Operator
-	keys             []equiKey
-	lSorted, rSorted bool
-	residual         expr.Expr
-	params           expr.Params
-	par              int
-	gov              *governor
-	where            string
-
-	out []value.Row
-	pos int
-}
-
-func (j *mergeJoinOp) Open() error {
-	var lrows, rrows []value.Row
-	var err error
-	if j.par > 1 {
-		lrows, rrows, err = drainBoth(j.where, j.left, j.right)
-		if err != nil {
-			return err
-		}
-	} else {
-		lrows, err = drain(j.left)
-		if err != nil {
-			return err
-		}
-		rrows, err = drain(j.right)
-		if err != nil {
-			return err
-		}
-	}
-	lCols := make([]int, len(j.keys))
-	rCols := make([]int, len(j.keys))
-	for i, k := range j.keys {
-		lCols[i] = k.left
-		rCols[i] = k.right
-	}
-	if lrows, err = dropNullKeys(j.gov, lrows, lCols); err != nil {
-		return err
-	}
-	if rrows, err = dropNullKeys(j.gov, rrows, rCols); err != nil {
-		return err
-	}
-	if !j.lSorted {
-		lrows = sortByCols(j.where, lrows, lCols, j.par)
-	}
-	if !j.rSorted {
-		rrows = sortByCols(j.where, rrows, rCols, j.par)
-	}
-
-	j.out = j.out[:0]
-	li, ri := 0, 0
-	for li < len(lrows) && ri < len(rrows) {
-		cmp := compareAt(lrows[li], lCols, rrows[ri], rCols)
-		switch {
-		case cmp < 0:
-			li++
-		case cmp > 0:
-			ri++
-		default:
-			// Find the extent of the matching group on both sides.
-			lEnd := li + 1
-			for lEnd < len(lrows) && compareAt(lrows[lEnd], lCols, rrows[ri], rCols) == 0 {
-				lEnd++
-			}
-			rEnd := ri + 1
-			for rEnd < len(rrows) && compareAt(lrows[li], lCols, rrows[rEnd], rCols) == 0 {
-				rEnd++
-			}
-			for a := li; a < lEnd; a++ {
-				for b := ri; b < rEnd; b++ {
-					// The per-key cross product materializes without pulls,
-					// so it ticks itself (a skewed key can dominate the run).
-					if err := j.gov.tick(); err != nil {
-						return err
-					}
-					row := lrows[a].Concat(rrows[b])
-					truth, err := expr.EvalTruth(j.residual, row, j.params)
-					if err != nil {
-						return err
-					}
-					if truth == value.True {
-						j.out = append(j.out, row)
-					}
-				}
-			}
-			li, ri = lEnd, rEnd
-		}
-	}
-	j.pos = 0
-	return nil
-}
-
-func (j *mergeJoinOp) Next() (value.Row, bool, error) {
-	if j.pos >= len(j.out) {
-		return nil, false, nil
-	}
-	row := j.out[j.pos]
-	j.pos++
-	return row, true, nil
-}
-
-func (j *mergeJoinOp) Close() error { return nil }
-
 func anyNullAt(row value.Row, cols []int) bool {
 	for _, c := range cols {
 		if row[c].IsNull() {
@@ -485,25 +317,6 @@ func anyNullAt(row value.Row, cols []int) bool {
 		}
 	}
 	return false
-}
-
-func dropNullKeys(gov *governor, rows []value.Row, cols []int) ([]value.Row, error) {
-	out := rows[:0]
-	for _, r := range rows {
-		if err := gov.tick(); err != nil {
-			return nil, err
-		}
-		if !anyNullAt(r, cols) {
-			out = append(out, r)
-		}
-	}
-	return out, nil
-}
-
-func sortByCols(where string, rows []value.Row, cols []int, par int) []value.Row {
-	return sortRowsStable(where, rows, par, func(a, b value.Row) int {
-		return compareAt(a, cols, b, cols)
-	})
 }
 
 func compareAt(a value.Row, aCols []int, b value.Row, bCols []int) int {

@@ -7,8 +7,8 @@ import (
 
 // compileLimit lowers a Limit node. LIMIT over a fresh ORDER BY fuses into
 // a bounded TopK (a size-N heap instead of a full materialized sort) —
-// unless the order-properties pass already proved the input sorted, in
-// which case the sort is elided exactly as in the bare Sort case and the
+// unless the compiler's propagated order already proves the input sorted,
+// in which case the sort is elided exactly as in the bare Sort case and the
 // limit just stops the stream after N rows.
 func (c *compiler) compileLimit(node *algebra.Limit) (compiled, error) {
 	if s, ok := node.Input.(*algebra.Sort); ok {
@@ -16,36 +16,21 @@ func (c *compiler) compileLimit(node *algebra.Limit) (compiled, error) {
 		if err != nil {
 			return compiled{}, err
 		}
-		schema := s.Input.Schema()
-		keys := make([]sortKey, len(s.Keys))
-		allAsc := true
-		keyCols := make([]int, len(s.Keys))
-		for i, k := range s.Keys {
-			idx, err := schema.IndexOf(k.Col)
-			if err != nil {
-				return compiled{}, err
-			}
-			keys[i] = sortKey{col: idx, desc: k.Desc}
-			keyCols[i] = idx
-			if k.Desc {
-				allAsc = false
-			}
+		keys, order, err := sortKeys(s.Input.Schema(), s.Keys)
+		if err != nil {
+			return compiled{}, err
 		}
-		if allAsc && hasSequencePrefix(in.order, keyCols) {
+		if len(order) == len(keys) && hasSequencePrefix(in.order, order) {
 			return compiled{op: &limitOp{input: c.wrapNode(s, in.op), n: node.N}, order: in.order}, nil
-		}
-		outOrder := keyCols
-		if !allAsc {
-			outOrder = nil
 		}
 		// The fused Sort node has no operator of its own; wrapping the TopK's
 		// input with the Sort's instrumentation records the rows flowing
 		// through the fused boundary (a sort is 1:1, so the boundary count is
-		// the Sort's output cardinality) and keeps EXPLAIN ANALYZE and the
-		// Stats sink consistent with an unfused plan.
+		// the Sort's output cardinality) and keeps EXPLAIN ANALYZE
+		// consistent with an unfused plan.
 		return compiled{
 			op:    &topKOp{input: c.wrapNode(s, in.op), keys: keys, n: node.N},
-			order: outOrder,
+			order: order,
 		}, nil
 	}
 	in, err := c.compile(node.Input)

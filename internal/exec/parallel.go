@@ -175,8 +175,9 @@ func concatChunks(outs [][]value.Row) []value.Row {
 }
 
 // drainBoth drains two operators concurrently — inter-subtree parallelism
-// for plans whose join inputs are themselves expensive. The per-node stats
-// hooks must be (and are) safe for concurrent Close against a shared sink.
+// for plans whose join inputs are themselves expensive. The per-node metric
+// wrappers must be (and are) safe for concurrent Close: their counters are
+// atomics.
 // Panics on either side become *ExecPanicError; the left side is recovered
 // locally (not left to Run's top-level recovery) precisely so that wg.Wait
 // always runs and the right-side goroutine is joined before return.

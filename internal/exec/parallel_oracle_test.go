@@ -1,11 +1,11 @@
 package exec_test
 
 // The serial-vs-parallel oracle: over hundreds of randomized stores and
-// queries, for both the standard and the transformed plan and for EVERY
-// physical strategy combination (JoinStrategy × GroupStrategy), parallel
-// execution must return exactly the rows of serial execution — same
-// values, same order — and must record exactly the same per-operator
-// output cardinality at every plan node. The parallel operators are
+// queries, for both the standard and the transformed plan and in every
+// execution mode ({row, vectorized} × {serial, parallel}), execution must
+// return exactly the rows of the serial row engine — same values, same
+// order — and must record exactly the same per-operator output cardinality
+// at every plan node. The parallel operators are
 // designed to be row-identical to their serial counterparts (parallel.go
 // documents the discipline); this suite is what holds them to it.
 //
@@ -16,6 +16,7 @@ package exec_test
 import (
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"repro/internal/algebra"
@@ -32,14 +33,6 @@ import (
 // above 1 must give identical results; 4 exercises multi-chunk scheduling
 // even on a single-CPU machine.
 const oracleParallelism = 4
-
-var joinStrategies = []exec.JoinStrategy{
-	exec.JoinAuto, exec.JoinHash, exec.JoinSortMerge, exec.JoinNestedLoop,
-}
-
-var groupStrategies = []exec.GroupStrategy{
-	exec.GroupAuto, exec.GroupHash, exec.GroupSort,
-}
 
 // rowStrings renders rows in order; comparing the slices compares both
 // content and order.
@@ -63,22 +56,17 @@ func sameRowOrder(a, b []string) bool {
 	return true
 }
 
-// runWithStats executes a plan with both observability sinks active — the
-// legacy Stats annotations and the obs metrics collector — and returns the
-// rows plus both sinks. Running them together makes every oracle execution
-// also an agreement check between the compat shim and its replacement.
-func runWithStats(t *testing.T, plan algebra.Node, store *storage.Store, opts exec.Options) ([]value.Row, algebra.Annotations, *obs.Collector) {
+// runWithMetrics executes a plan with the metrics collector active and
+// returns the rows plus the collector.
+func runWithMetrics(t *testing.T, plan algebra.Node, store *storage.Store, opts exec.Options) ([]value.Row, *obs.Collector) {
 	t.Helper()
-	ann := make(algebra.Annotations)
 	col := obs.NewCollector()
-	opts.Stats = ann
 	opts.Metrics = col
 	res, err := exec.Run(plan, store, &opts)
 	if err != nil {
-		t.Fatalf("exec.Run (parallelism=%d join=%v group=%v): %v",
-			opts.Parallelism, opts.Join, opts.Group, err)
+		t.Fatalf("exec.Run (parallelism=%d vectorize=%v): %v", opts.Parallelism, opts.Vectorize, err)
 	}
-	return res.Rows, ann, col
+	return res.Rows, col
 }
 
 // joinInputRows sums RowsIn over the plan's join and product operators —
@@ -96,26 +84,26 @@ func joinInputRows(plan algebra.Node, col *obs.Collector) int64 {
 	return total
 }
 
-// checkSerialVsParallel runs one plan under one strategy combination in all
-// four execution modes — {row, vectorized} × {serial, parallel} — and
-// asserts that every mode returns exactly the serial row path's rows in its
-// order with identical per-operator cardinalities (RowsOut and RowsIn;
-// Batches is intentionally excluded — it is a mode-specific scheduling
-// statistic; plans containing a Limit skip the cardinality comparison, since
-// early termination makes interior counts depend on which mode could elide
-// the sort). The serial row path is the reference semantics; the other three
-// modes are the three-way differential the vectorized engine is held to.
-func checkSerialVsParallel(t *testing.T, label, query string, plan algebra.Node, store *storage.Store, js exec.JoinStrategy, gs exec.GroupStrategy) []string {
+// checkSerialVsParallel runs one plan in all four execution modes —
+// {row, vectorized} × {serial, parallel} — and asserts that every mode
+// returns exactly the serial row path's rows in its order with identical
+// per-operator cardinalities (RowsOut and RowsIn; Batches is intentionally
+// excluded — it is a mode-specific scheduling statistic; plans containing a
+// Limit skip the cardinality comparison, since early termination makes
+// interior counts depend on which mode could elide the sort). The serial
+// row path is the reference semantics; the other three modes are the
+// three-way differential the vectorized engine is held to.
+func checkSerialVsParallel(t *testing.T, label, query string, plan algebra.Node, store *storage.Store) []string {
 	t.Helper()
-	serialRows, serialAnn, serialCol := runWithStats(t, plan, store, exec.Options{Join: js, Group: gs})
+	serialRows, serialCol := runWithMetrics(t, plan, store, exec.Options{})
 	s := rowStrings(serialRows)
 	modes := []struct {
 		mode string
 		opts exec.Options
 	}{
-		{"row/parallel", exec.Options{Join: js, Group: gs, Parallelism: oracleParallelism}},
-		{"vec/serial", exec.Options{Join: js, Group: gs, Vectorize: true}},
-		{"vec/parallel", exec.Options{Join: js, Group: gs, Parallelism: oracleParallelism, Vectorize: true}},
+		{"row/parallel", exec.Options{Parallelism: oracleParallelism}},
+		{"vec/serial", exec.Options{Vectorize: true}},
+		{"vec/parallel", exec.Options{Parallelism: oracleParallelism, Vectorize: true}},
 	}
 	// Early termination makes interior cardinalities plan-shape-dependent:
 	// under a LIMIT, a mode whose input order lets the sort elide pulls only
@@ -128,55 +116,38 @@ func checkSerialVsParallel(t *testing.T, label, query string, plan algebra.Node,
 		}
 	})
 	for _, m := range modes {
-		parRows, parAnn, parCol := runWithStats(t, plan, store, m.opts)
+		parRows, parCol := runWithMetrics(t, plan, store, m.opts)
 		p := rowStrings(parRows)
 		if !sameRowOrder(s, p) {
-			t.Fatalf("%s plan, join=%v group=%v: %s output differs from row/serial\nquery: %s\nrow/serial (%d rows): %v\n%s (%d rows): %v",
-				label, js, gs, m.mode, query, len(s), s, m.mode, len(p), p)
+			t.Fatalf("%s plan: %s output differs from row/serial\nquery: %s\nrow/serial (%d rows): %v\n%s (%d rows): %v",
+				label, m.mode, query, len(s), s, m.mode, len(p), p)
 		}
 		algebra.Walk(plan, func(n algebra.Node) {
 			sm, pm := serialCol.Lookup(n), parCol.Lookup(n)
 			if sm == nil || pm == nil {
-				t.Fatalf("%s plan, join=%v group=%v: node %T missing from metrics collector (row/serial=%v %s=%v)",
-					label, js, gs, n, sm != nil, m.mode, pm != nil)
-			}
-			// The two sinks must agree with each other in every mode,
-			// limit or not — they share one counter.
-			if sm.RowsOut.Load() != serialAnn[n].Rows {
-				t.Fatalf("%s plan, join=%v group=%v: node %T metrics RowsOut %d disagrees with Stats %d\nquery: %s",
-					label, js, gs, n, sm.RowsOut.Load(), serialAnn[n].Rows, query)
-			}
-			if pm.RowsOut.Load() != parAnn[n].Rows {
-				t.Fatalf("%s plan, join=%v group=%v: %s node %T metrics RowsOut %d disagrees with Stats %d\nquery: %s",
-					label, js, gs, m.mode, n, pm.RowsOut.Load(), parAnn[n].Rows, query)
+				t.Fatalf("%s plan: node %T missing from metrics collector (row/serial=%v %s=%v)",
+					label, n, sm != nil, m.mode, pm != nil)
 			}
 			if hasLimit {
 				return
 			}
-			if serialAnn[n].Rows != parAnn[n].Rows {
-				t.Fatalf("%s plan, join=%v group=%v: node %T output cardinality %d row/serial vs %d %s\nquery: %s",
-					label, js, gs, n, serialAnn[n].Rows, parAnn[n].Rows, m.mode, query)
-			}
-			// The metrics collector must agree across modes (limit-free
-			// plans only, per above).
 			if sm.RowsOut.Load() != pm.RowsOut.Load() {
-				t.Fatalf("%s plan, join=%v group=%v: node %T RowsOut %d row/serial vs %d %s\nquery: %s",
-					label, js, gs, n, sm.RowsOut.Load(), pm.RowsOut.Load(), m.mode, query)
+				t.Fatalf("%s plan: node %T RowsOut %d row/serial vs %d %s\nquery: %s",
+					label, n, sm.RowsOut.Load(), pm.RowsOut.Load(), m.mode, query)
 			}
 			// RowsIn is a structural invariant (sum of children's outputs), so
 			// it must match between modes too.
 			if sm.RowsIn.Load() != pm.RowsIn.Load() {
-				t.Fatalf("%s plan, join=%v group=%v: node %T RowsIn %d row/serial vs %d %s\nquery: %s",
-					label, js, gs, n, sm.RowsIn.Load(), pm.RowsIn.Load(), m.mode, query)
+				t.Fatalf("%s plan: node %T RowsIn %d row/serial vs %d %s\nquery: %s",
+					label, n, sm.RowsIn.Load(), pm.RowsIn.Load(), m.mode, query)
 			}
 		})
 	}
 	return s
 }
 
-// oracleQuery checks one query on one store across every plan and strategy
-// combination, returning how many (plan, strategy) serial-vs-parallel
-// comparisons ran.
+// oracleQuery checks one query on one store across every plan and
+// execution mode, returning how many plans it compared.
 func oracleQuery(t *testing.T, store *storage.Store, query string) int {
 	t.Helper()
 	q, err := sql.ParseQuery(query)
@@ -201,28 +172,22 @@ func oracleQuery(t *testing.T, store *storage.Store, query string) int {
 			plan  algebra.Node
 		}{"transformed", report.Alternative})
 	}
-	checks := 0
-	// Every strategy combination must agree with serial execution; every
-	// plan and combination must also agree with each other as multisets
-	// (a cross-check that strategy/plan choice never changes results).
+	// Every plan must agree with serial execution in every mode, and the
+	// plans must agree with each other as multisets (a cross-check that
+	// plan choice never changes results).
 	var reference []string
 	for _, pl := range plans {
-		for _, js := range joinStrategies {
-			for _, gs := range groupStrategies {
-				rows := checkSerialVsParallel(t, pl.label, query, pl.plan, store, js, gs)
-				sorted := append([]string(nil), rows...)
-				sortStrings(sorted)
-				if reference == nil {
-					reference = sorted
-				} else if !sameRowOrder(reference, sorted) {
-					t.Fatalf("%s plan, join=%v group=%v: result multiset differs from the first combination\nquery: %s\nfirst: %v\n this: %v",
-						pl.label, js, gs, query, reference, sorted)
-				}
-				checks++
-			}
+		rows := checkSerialVsParallel(t, pl.label, query, pl.plan, store)
+		sorted := append([]string(nil), rows...)
+		sortStrings(sorted)
+		if reference == nil {
+			reference = sorted
+		} else if !sameRowOrder(reference, sorted) {
+			t.Fatalf("%s plan: result multiset differs from the standard plan\nquery: %s\nstandard: %v\n    this: %v",
+				pl.label, query, reference, sorted)
 		}
 	}
-	return checks
+	return len(plans)
 }
 
 func sortStrings(s []string) {
@@ -296,12 +261,36 @@ func sweepQueries(r *rand.Rand) []string {
 		fmt.Sprintf(`SELECT D.DimID, MAX(F.V)
 		 FROM Fact F, Dim D WHERE F.DimID = D.DimID
 		 GROUP BY D.DimID ORDER BY DimID DESC LIMIT %d`, 1+r.Intn(4)),
+		// Grouping over a derived table's ORDER BY, in random key order and
+		// directions: the grouping streams when the keys lead with the
+		// grouping column ascending and hashes otherwise.
+		fmt.Sprintf(`SELECT T.GroupID, SUM(T.V), COUNT(*)
+		 FROM (SELECT F.GroupID AS GroupID, F.V AS V FROM Fact F ORDER BY %s) T
+		 GROUP BY T.GroupID`, derivedOrder(r, "GroupID", "V")),
+		fmt.Sprintf(`SELECT T.DimID, D.Label, SUM(T.V)
+		 FROM (SELECT F.DimID AS DimID, F.V AS V FROM Fact F ORDER BY %s) T, Dim D
+		 WHERE T.DimID = D.DimID
+		 GROUP BY T.DimID, D.Label`, derivedOrder(r, "DimID", "V")),
 	}
+}
+
+// derivedOrder renders an ORDER BY list of one or both columns in random
+// order, each ascending or descending at random.
+func derivedOrder(r *rand.Rand, a, b string) string {
+	cols := []string{a, b}
+	r.Shuffle(len(cols), func(i, j int) { cols[i], cols[j] = cols[j], cols[i] })
+	cols = cols[:1+r.Intn(2)]
+	for i := range cols {
+		if r.Intn(2) == 0 {
+			cols[i] += " DESC"
+		}
+	}
+	return strings.Join(cols, ", ")
 }
 
 // TestSerialVsParallelOracle is the randomized serial ≡ parallel suite: at
 // least 200 queries (40 under -short) over random workload tables, each
-// checked across every JoinStrategy × GroupStrategy on both plans.
+// checked in every execution mode on both plans.
 func TestSerialVsParallelOracle(t *testing.T) {
 	targetQueries := 200
 	if testing.Short() {
@@ -346,7 +335,7 @@ func TestSerialVsParallelOracle(t *testing.T) {
 			}
 		}
 	}
-	t.Logf("serial-vs-parallel oracle: %d queries, %d plan/strategy comparisons", queries, checks)
+	t.Logf("serial-vs-parallel oracle: %d queries, %d plan comparisons", queries, checks)
 }
 
 // TestEagerPlanShrinksJoinInput asserts Section 7's core claim on measured
@@ -371,7 +360,7 @@ func TestEagerPlanShrinksJoinInput(t *testing.T) {
 		t.Fatal("Example 1 query did not produce a transformed plan")
 	}
 	measure := func(plan algebra.Node, parallelism int) int64 {
-		rows, _, col := runWithStats(t, plan, store, exec.Options{Parallelism: parallelism})
+		rows, col := runWithMetrics(t, plan, store, exec.Options{Parallelism: parallelism})
 		if len(rows) == 0 {
 			t.Fatal("plan produced no rows")
 		}

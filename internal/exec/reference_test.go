@@ -16,8 +16,8 @@ import (
 // materialized, nested loops everywhere, grouping by O(n²) =ⁿ row
 // comparison (no hashing, no sorting) — transcribing the paper's operator
 // definitions as directly as possible. It exists purely as an oracle: the
-// production executor must agree with it on every plan, under every
-// physical strategy.
+// production executor must agree with it on every plan, in every
+// execution mode.
 func refEval(n algebra.Node, store *storage.Store, params expr.Params) ([]value.Row, error) {
 	switch node := n.(type) {
 	case *algebra.Scan:
@@ -274,13 +274,20 @@ func randomExecPlan(t *testing.T, s *storage.Store, r *rand.Rand) algebra.Node {
 		return algebra.NewScan(def.Name, def.Name, cols)
 	}
 	var plan algebra.Node
-	switch r.Intn(3) {
+	cols := []expr.ColumnID{{Table: "L", Name: "a"}, {Table: "L", Name: "b"}}
+	switch r.Intn(4) {
 	case 0:
 		plan = mkScan(lDef)
 	case 1:
 		plan = &algebra.Join{
 			L: mkScan(lDef), R: mkScan(rDef),
 			Cond: expr.Eq(expr.Column("L", "a"), expr.Column("R", "c")),
+		}
+	case 2:
+		// No equi-key: the join runs as a nested loop.
+		plan = &algebra.Join{
+			L: mkScan(lDef), R: mkScan(rDef),
+			Cond: expr.NewBinary(expr.OpLt, expr.Column("L", "a"), expr.Column("R", "c")),
 		}
 	default:
 		plan = &algebra.Join{
@@ -291,6 +298,9 @@ func randomExecPlan(t *testing.T, s *storage.Store, r *rand.Rand) algebra.Node {
 			),
 		}
 	}
+	if _, ok := plan.(*algebra.Join); ok {
+		cols = append(cols, expr.ColumnID{Table: "R", Name: "c"})
+	}
 	if r.Intn(2) == 0 {
 		plan = &algebra.Select{
 			Input: plan,
@@ -299,6 +309,17 @@ func randomExecPlan(t *testing.T, s *storage.Store, r *rand.Rand) algebra.Node {
 	}
 	switch r.Intn(3) {
 	case 0:
+		if r.Intn(2) == 0 {
+			// A Sort under the grouping on one or two random keys in random
+			// directions: grouping streams exactly when the keys lead with
+			// L.a ascending, and hashes otherwise.
+			r.Shuffle(len(cols), func(i, j int) { cols[i], cols[j] = cols[j], cols[i] })
+			keys := make([]algebra.SortItem, 1+r.Intn(2))
+			for i := range keys {
+				keys[i] = algebra.SortItem{Col: cols[i], Desc: r.Intn(2) == 0}
+			}
+			plan = &algebra.Sort{Input: plan, Keys: keys}
+		}
 		plan = &algebra.GroupBy{
 			Input:     plan,
 			GroupCols: []expr.ColumnID{{Table: "L", Name: "a"}},
@@ -319,9 +340,11 @@ func randomExecPlan(t *testing.T, s *storage.Store, r *rand.Rand) algebra.Node {
 	return plan
 }
 
-// TestExecutorAgainstReference: the Volcano executor, under every physical
-// join and grouping strategy, must agree (as a multiset) with the naive
-// reference evaluator on random plans over random data.
+// TestExecutorAgainstReference: the Volcano executor, in every execution
+// mode — {row, vectorized} × {serial, parallel} — must agree (as a
+// multiset) with the naive reference evaluator on random plans over random
+// data. The plans reach every join and grouping operator the compiler
+// picks: hash and nested-loop joins, and hash and streaming groupings.
 func TestExecutorAgainstReference(t *testing.T) {
 	iterations := 1500
 	if testing.Short() {
@@ -335,15 +358,15 @@ func TestExecutorAgainstReference(t *testing.T) {
 		if err != nil {
 			t.Fatalf("iteration %d: reference: %v", i, err)
 		}
-		for _, join := range []JoinStrategy{JoinHash, JoinSortMerge, JoinNestedLoop} {
-			for _, group := range []GroupStrategy{GroupHash, GroupSort, GroupAuto} {
-				res, err := Run(plan, s, &Options{Join: join, Group: group})
+		for _, vectorize := range []bool{false, true} {
+			for _, par := range []int{1, 4} {
+				res, err := Run(plan, s, &Options{Vectorize: vectorize, Parallelism: par})
 				if err != nil {
-					t.Fatalf("iteration %d (%v/%v): %v", i, join, group, err)
+					t.Fatalf("iteration %d (vectorize=%v par=%d): %v", i, vectorize, par, err)
 				}
 				if !sameMultiset(res.Rows, want) {
-					t.Fatalf("iteration %d (%v/%v): executor disagrees with reference\nplan:\n%s\ngot:  %v\nwant: %v",
-						i, join, group, algebra.Format(plan, nil), res.Rows, want)
+					t.Fatalf("iteration %d (vectorize=%v par=%d): executor disagrees with reference\nplan:\n%s\ngot:  %v\nwant: %v",
+						i, vectorize, par, algebra.Format(plan, nil), res.Rows, want)
 				}
 			}
 		}

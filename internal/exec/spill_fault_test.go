@@ -28,7 +28,6 @@ func TestSpillOperatorDiskFaults(t *testing.T) {
 	cases := []struct {
 		name string
 		plan algebra.Node
-		opts Options
 	}{
 		{
 			name: "external-sort",
@@ -40,12 +39,10 @@ func TestSpillOperatorDiskFaults(t *testing.T) {
 		{
 			name: "external-aggregation",
 			plan: groupPlan(t, s, true),
-			opts: Options{Group: GroupHash},
 		},
 		{
 			name: "grace-hash-join",
 			plan: joinPlan(t, s),
-			opts: Options{Join: JoinHash},
 		},
 	}
 	kinds := []fault.Kind{fault.DiskWriteFail, fault.DiskShortWrite, fault.DiskReadFail, fault.DiskCloseFail}
@@ -77,11 +74,7 @@ func TestSpillOperatorDiskFaults(t *testing.T) {
 			// actually spill, or the sweep below exercises nothing.
 			refMgr := storage.NewSpillManager(dir)
 			refCol := obs.NewCollector()
-			refOpts := tc.opts
-			refOpts.MemoryBudget = budget
-			refOpts.Spill = refMgr
-			refOpts.Metrics = refCol
-			ref, err := Run(tc.plan, s, &refOpts)
+			ref, err := Run(tc.plan, s, &Options{MemoryBudget: budget, Spill: refMgr, Metrics: refCol})
 			must(t, err)
 			if refCol.Gov().SpillBytes == 0 {
 				t.Fatalf("reference run did not spill; the budget is not tight enough to exercise %s", tc.name)
@@ -94,11 +87,10 @@ func TestSpillOperatorDiskFaults(t *testing.T) {
 				fired := 0
 				for tick := int64(1); tick <= maxTick; tick++ {
 					mgr := storage.NewSpillManager(dir)
-					opts := tc.opts
-					opts.MemoryBudget = budget
-					opts.Spill = mgr
-					opts.Faults = fault.New([]fault.Event{{Tick: tick, Kind: kind}})
-					res, err := Run(tc.plan, s, &opts)
+					res, err := Run(tc.plan, s, &Options{
+						MemoryBudget: budget, Spill: mgr,
+						Faults: fault.New([]fault.Event{{Tick: tick, Kind: kind}}),
+					})
 					if err != nil {
 						fired++
 						var se *SpillError

@@ -93,18 +93,19 @@ type groupOut struct {
 }
 
 // spillGroupOp is the spill-capable aggregation operator. byKey selects
-// hash semantics (output in group first-appearance order, like hashGroupOp)
-// or sort semantics (output in grouping-key order, like sortGroupOp). The
-// hash form first attempts an in-memory hash build under tryCharge; when
-// the budget refuses a group it releases everything and degrades to
-// sort-based external aggregation — rows are external-sorted by (group key,
-// arrival seq), each contiguous group is aggregated streaming with a single
-// charged state, and the finished groups are reordered by first arrival.
+// hash semantics (output in group first-appearance order, like hashGroupOp);
+// otherwise the input is already sorted on the grouping columns and
+// contiguous groups are aggregated streaming, like sortGroupOp, with a
+// single charged state. The hash form first attempts an in-memory hash
+// build under tryCharge; when the budget refuses a group it releases
+// everything and degrades to sort-based external aggregation — rows are
+// external-sorted by (group key, arrival seq), each contiguous group is
+// aggregated streaming, and the finished groups are reordered by first
+// arrival.
 type spillGroupOp struct {
 	groupCore
-	mgr       *storage.SpillManager
-	byKey     bool
-	preSorted bool
+	mgr   *storage.SpillManager
+	byKey bool
 
 	sorter *extSorter
 }
@@ -131,14 +132,7 @@ func (g *spillGroupOp) Open() error {
 		g.recordBuild(1, 0)
 		return g.emit([]*groupState{st})
 	}
-	if g.byKey {
-		done, err := g.tryHash(rows)
-		if done || err != nil {
-			return err
-		}
-		return g.external(rows)
-	}
-	if g.preSorted {
+	if !g.byKey {
 		recs := make([]spillRow, len(rows))
 		for i, row := range rows {
 			if err := g.gov.tick(); err != nil {
@@ -147,6 +141,10 @@ func (g *spillGroupOp) Open() error {
 			recs[i] = spillRow{seq: int64(i), row: row}
 		}
 		return g.streamGroups(&mergeIter{buf: recs})
+	}
+	done, err := g.tryHash(rows)
+	if done || err != nil {
+		return err
 	}
 	return g.external(rows)
 }
@@ -188,38 +186,24 @@ func (g *spillGroupOp) tryHash(rows []value.Row) (bool, error) {
 	return true, g.emit(order)
 }
 
-// external sorts the rows externally so groups arrive contiguous, then
-// aggregates them streaming. Hash semantics prepend the canonical GroupKey
-// as a sort column (equal keys ⟺ equal strings); sort semantics order by
-// the grouping columns themselves, exactly like sortByCols.
+// external sorts the rows externally by their canonical GroupKey (equal
+// keys ⟺ equal strings, prepended as a sort column) and arrival seq, so
+// groups arrive contiguous, then aggregates them streaming.
 func (g *spillGroupOp) external(rows []value.Row) error {
-	var less func(a, b spillRow) bool
-	if g.byKey {
-		less = func(a, b spillRow) bool {
-			ka, kb := a.row[0].Str(), b.row[0].Str()
-			if ka != kb {
-				return ka < kb
-			}
-			return a.seq < b.seq
+	less := func(a, b spillRow) bool {
+		ka, kb := a.row[0].Str(), b.row[0].Str()
+		if ka != kb {
+			return ka < kb
 		}
-	} else {
-		less = func(a, b spillRow) bool {
-			if c := compareAt(a.row, g.groupCols, b.row, g.groupCols); c != 0 {
-				return c < 0
-			}
-			return a.seq < b.seq
-		}
+		return a.seq < b.seq
 	}
 	g.sorter = &extSorter{gov: g.gov, mgr: g.mgr, metrics: g.metrics, op: g.where, less: less}
 	for i, row := range rows {
 		if err := g.gov.tick(); err != nil {
 			return err
 		}
-		rec := row
-		if g.byKey {
-			key := value.GroupKey(row, g.groupCols)
-			rec = append(value.Row{value.NewString(key)}, row...)
-		}
+		key := value.GroupKey(row, g.groupCols)
+		rec := append(value.Row{value.NewString(key)}, row...)
 		if err := g.sorter.add(spillRow{seq: int64(i), row: rec}, rowStateBytes(rec)); err != nil {
 			return err
 		}

@@ -44,7 +44,6 @@ func TestVectorPathZeroAllocs(t *testing.T) {
 		{"disabled", &Options{Vectorize: true}},
 		{"metrics+stats+trace", &Options{
 			Vectorize: true,
-			Stats:     make(algebra.Annotations),
 			Metrics:   obs.NewCollector(),
 			Trace:     obs.NewTracer(obs.NewFakeClock(time.Unix(0, 0), time.Millisecond)),
 			Clock:     obs.NewFakeClock(time.Unix(0, 0), time.Millisecond),

@@ -152,9 +152,9 @@ func eagerPlan(n algebra.Node) bool {
 }
 
 // TestDerivedOrderStreamsGrouping is the case where sorting is free: a
-// derived table's ORDER BY covers the grouping column, the optimizer sets
-// GroupBy.Ordered, and grouping streams over the sorted input in every
-// mode. Streaming sort-grouping accounts no key bytes — its state is one
+// derived table's ORDER BY covers the grouping column, the executor's
+// propagated order proves it, and grouping streams over the sorted input
+// in every mode. Streaming sort-grouping accounts no key bytes — its state is one
 // accumulator slot per aggregate per group — where a hash table also
 // charges each group's key, so the GroupBy's state bytes tell the two
 // apart.
@@ -178,10 +178,7 @@ func TestDerivedOrderStreamsGrouping(t *testing.T) {
 			}
 			var group *core.NodeCalibration
 			for i, n := range a.Calibration.Nodes {
-				if g, ok := n.Node.(*algebra.GroupBy); ok {
-					if !g.Ordered {
-						t.Fatalf("GroupBy.Ordered not set:\n%s", algebra.Format(a.Plan, nil))
-					}
+				if _, ok := n.Node.(*algebra.GroupBy); ok {
 					group = &a.Calibration.Nodes[i]
 				}
 			}
